@@ -58,6 +58,7 @@ from .protocol import (
     ENDPOINT_PATH,
     UPDATE_PATH,
     ProtocolError,
+    content_length,
     negotiate,
     parse_query_request,
     parse_update_request,
@@ -181,7 +182,7 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         if path != ENDPOINT_PATH:
             self._send_not_found(path)
             return
-        self._handle_query("GET", body=None)
+        self._handle_query("GET")
 
     def do_POST(self):
         path = urlsplit(self.path).path
@@ -191,13 +192,11 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         if path != ENDPOINT_PATH:
             self._send_not_found(path)
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length).decode("utf-8", errors="replace")
-        self._handle_query("POST", body=body)
+        self._handle_query("POST")
 
     # -- the protocol pipeline ---------------------------------------------
 
-    def _handle_query(self, method, body):
+    def _handle_query(self, method):
         server = self.server
         trace = QueryTrace(queue_wait=server.pop_queue_wait())
         # Everything the telemetry layer wants to know about this request;
@@ -209,16 +208,17 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
             "plan_renderer": None,
         }
         try:
-            self._run_query(method, body, trace, outcome)
+            self._run_query(method, trace, outcome)
         finally:
             server.telemetry.observe_request(
                 trace, endpoint=ENDPOINT_PATH, method=method, **outcome
             )
 
-    def _run_query(self, method, body, trace, outcome):
+    def _run_query(self, method, trace, outcome):
         """The protocol pipeline for one query request (traced)."""
         server = self.server
         try:
+            body = self._read_body() if method == "POST" else None
             query_text, timeout = parse_query_request(
                 method,
                 self.path,
@@ -335,8 +335,12 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         # Drain the request body even on rejection paths: a keep-alive
         # client's next request would otherwise read leftover body bytes as
         # its request line.
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length).decode("utf-8", errors="replace")
+        try:
+            body = self._read_body()
+        except ProtocolError as error:
+            outcome["status"] = error.status
+            self._send_json(error.status, error.payload())
+            return
         if getattr(server, "read_only", False):
             # 403, not 405: the resource exists and POST is the right verb,
             # but this deployment refuses state changes.
@@ -375,7 +379,21 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         outcome["extra"] = result.as_dict()
         self._send_json(200, payload)
 
-    # -- response plumbing -------------------------------------------------
+    # -- request and response plumbing -------------------------------------
+
+    def _read_body(self):
+        """The request body as text.
+
+        A malformed ``Content-Length`` raises :class:`ProtocolError` (400)
+        and marks the connection for closing: with the body's extent
+        unknown, the next request on it cannot be found.
+        """
+        try:
+            length = content_length(self.headers.get("Content-Length"))
+        except ProtocolError:
+            self.close_connection = True
+            raise
+        return self.rfile.read(length).decode("utf-8", errors="replace")
 
     def _send_not_found(self, path):
         self._send_json(
@@ -421,6 +439,8 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(encoded)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(encoded)
 

@@ -8,6 +8,7 @@ are unit-testable without starting a server:
   ``POST`` with an ``application/x-www-form-urlencoded`` body, and ``POST``
   with a direct ``application/sparql-query`` body — plus the ``timeout=``
   extension parameter (seconds, capped by the server's maximum).
+* :func:`content_length` validates the ``Content-Length`` of a POST body.
 * :func:`negotiate` maps an ``Accept`` header onto one of the four result
   serialization formats (JSON / XML / CSV / TSV), honouring q-values and
   wildcards, with JSON as the default for absent or ``*/*`` preferences.
@@ -71,6 +72,21 @@ def media_type(content_type):
     if not content_type:
         return ""
     return content_type.split(";", 1)[0].strip().lower()
+
+
+def content_length(header):
+    """The body length a ``Content-Length`` header value declares.
+
+    An absent or empty header means no body (0).  Anything but a plain
+    non-negative decimal raises :class:`ProtocolError` (400): the body's
+    extent is then unknown, so it can be neither read nor skipped.
+    """
+    if not header:
+        return 0
+    text = header.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ProtocolError(400, f"malformed Content-Length header: {header!r}")
+    return int(text)
 
 
 def negotiate(accept_header):

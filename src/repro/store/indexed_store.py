@@ -6,10 +6,12 @@ materializing RDF terms only for final results.  :class:`IndexedStore`
 reproduces both halves of that design in pure Python:
 
 * all terms are dictionary-encoded to integers (:mod:`.dictionary`),
-* triples are stored once as id-triples,
 * six hash indexes (S, P, O, SP, PO, SO) map bound components to the set of
-  matching triple positions, so every possible binding combination of a
-  triple pattern has a direct access path,
+  matching id-triples, so every possible binding combination of a triple
+  pattern has a direct access path (there is no separate triple set: the SP
+  index answers membership and the P index enumerates every triple),
+* the five large index spines are split into :data:`FANOUT` chunk dicts so an
+  MVCC write copies only the chunks it touches (:class:`GenerationDraft`),
 * per-predicate and per-class statistics are maintained for the optimizer.
 
 Two access levels are exposed:
@@ -31,7 +33,9 @@ Two access levels are exposed:
 from __future__ import annotations
 
 from array import array
-from itertools import islice
+from collections import deque
+from itertools import chain, islice, repeat
+from operator import and_, setitem
 
 from ..rdf.triple import Triple
 from .base import TripleStore
@@ -40,6 +44,20 @@ from .statistics import StoreStatistics
 
 #: Shared empty set returned for index misses (never mutated).
 _EMPTY = frozenset()
+
+#: Chunks per large index spine (a power of two).  A write generation
+#: copies the list of chunk references (FANOUT entries per spine) plus each
+#: chunk it touches.
+FANOUT = 256
+MASK = FANOUT - 1
+
+#: Per index, in snapshot order (S, P, O, SP, PO, SO): the key column
+#: (0 for an id key or a pair's first id, 1 for a pair's second) whose id
+#: picks a key's chunk, as ``id & MASK``; ``None`` marks the P index, which
+#: stays one plain dict.  So S, SP and SO are chunked by subject, O and PO
+#: by object.  Ids are dense integers, so their low bits spread keys evenly
+#: and cost less than hashing a pair key once more.
+_CHUNK_COLUMNS = (0, None, 0, 0, 1, 0)
 
 #: Sort orders a predicate run can be materialized in.
 RUN_BY_SUBJECT = "s"
@@ -77,29 +95,72 @@ class SortedRun:
                 f"len={len(self)})")
 
 
-def _rebuild_index(triples, image):
+def _new_spine():
+    """An empty chunked index spine: FANOUT dicts (see ``_CHUNK_COLUMNS``)."""
+    return [{} for _ in range(FANOUT)]
+
+
+def _keys(columns):
+    """The keys of an index image's key columns (ids, or id pairs)."""
+    return columns[0] if len(columns) == 1 else zip(*columns)
+
+
+def _fill_spine(spine, columns, buckets, chunk_column):
+    """Store ``buckets`` under the keys in ``columns``, in C-level loops."""
+    slots = map(and_, columns[chunk_column], repeat(MASK))
+    deque(map(setitem, map(spine.__getitem__, slots), _keys(columns), buckets),
+          maxlen=0)
+
+
+def _rebuild_index(triples, image, chunk_column):
     """Rebuild one hash index from a grouped snapshot image.
 
-    ``image`` is ``(single_keys, single_members, multi_keys, multi_counts,
-    multi_members)`` with members given as positions into ``triples``.  The
-    multi buckets are materialized through C-level ``set``/``islice``
-    construction and the (dominant) singleton buckets through a plain
-    assignment loop — together roughly 3x cheaper than replaying per-triple
-    ``setdefault(...).add(...)`` churn for every index entry.
+    ``image`` is ``(single_columns, single_members, multi_columns,
+    multi_counts, multi_members)`` with keys given as id columns and
+    members as positions into ``triples``.  Building the buckets in C-level
+    ``set``/``islice``/``map``/``zip`` pipelines is roughly 3x cheaper than
+    replaying per-triple ``setdefault(...).add(...)`` churn for every index
+    entry.  ``chunk_column`` is the index's ``_CHUNK_COLUMNS`` entry: the P
+    index comes back as one plain dict, every other index as a chunked
+    spine.
     """
-    single_keys, single_members, multi_keys, multi_counts, multi_members = image
+    single_columns, single_members, multi_columns, multi_counts, multi_members = image
     member = triples.__getitem__
-    multi_iter = map(member, multi_members)
-    index = {
-        key: set(islice(multi_iter, count))
-        for key, count in zip(multi_keys, multi_counts)
-    }
-    # Singleton buckets dominate (the sp/po/so keys are mostly unique); build
-    # them without any per-bucket Python frame: zip() wraps each member triple
-    # in a 1-tuple and map(set, ...) turns it into its singleton bucket, so
-    # the whole stream runs inside the C iterator protocol.
-    index.update(zip(single_keys, map(set, zip(map(member, single_members)))))
-    return index
+    # No per-bucket Python frame anywhere: each multi bucket is a set() over
+    # an islice() of one shared member stream; for the (dominant) singleton
+    # buckets — the sp/po/so keys are mostly unique — zip() wraps each member
+    # triple in a 1-tuple and map(set, ...) turns it into its bucket, so both
+    # streams run inside the C iterator protocol.
+    multi_buckets = map(set, map(islice, repeat(map(member, multi_members)),
+                                 multi_counts))
+    single_buckets = map(set, zip(map(member, single_members)))
+    if chunk_column is None:
+        index = dict(zip(_keys(multi_columns), multi_buckets))
+        index.update(zip(_keys(single_columns), single_buckets))
+        return index
+    spine = _new_spine()
+    _fill_spine(spine, multi_columns, multi_buckets, chunk_column)
+    _fill_spine(spine, single_columns, single_buckets, chunk_column)
+    return spine
+
+
+class _Scan:
+    """The all-wildcard candidate set: every triple, one predicate at a time.
+
+    Sized and iterable like the index buckets ``_candidates`` returns.
+    """
+
+    __slots__ = ("_buckets", "_size")
+
+    def __init__(self, buckets, size):
+        self._buckets = buckets
+        self._size = size
+
+    def __len__(self):
+        return self._size
+
+    def __iter__(self):
+        return chain.from_iterable(self._buckets)
 
 
 class IndexedStore(TripleStore):
@@ -115,17 +176,33 @@ class IndexedStore(TripleStore):
 
     def __init__(self, triples=None):
         self._dictionary = TermDictionary()
-        self._spo = set()          # full triples as id 3-tuples
-        self._by_s = {}
-        self._by_p = {}
-        self._by_o = {}
-        self._by_sp = {}
-        self._by_po = {}
-        self._by_so = {}
+        self._by_p = {}            # one plain dict: predicates are few
+        self._by_s = _new_spine()
+        self._by_o = _new_spine()
+        self._by_sp = _new_spine()
+        self._by_po = _new_spine()
+        self._by_so = _new_spine()
+        self._size = 0             # number of stored triples
         self._sorted_runs = {}     # (predicate_id, order) -> SortedRun
         self.statistics = StoreStatistics()
         if triples is not None:
             self.load_graph(triples)
+
+    @classmethod
+    def _from_parts(cls, dictionary, by_p, spines, size, statistics):
+        """A store over ready-made index structures (builds no empty spines).
+
+        ``spines`` are the five chunked spines in :meth:`_spines` order.
+        """
+        store = cls.__new__(cls)
+        store._dictionary = dictionary
+        store._by_p = by_p
+        (store._by_s, store._by_o, store._by_sp,
+         store._by_po, store._by_so) = spines
+        store._size = size
+        store._sorted_runs = {}
+        store.statistics = statistics
+        return store
 
     # -- bulk construction --------------------------------------------------
 
@@ -151,45 +228,28 @@ class IndexedStore(TripleStore):
     @classmethod
     def _from_snapshot(cls, dictionary, triples, index_images, statistics):
         """Assemble a store from deserialized snapshot sections (trusted)."""
-        store = cls()
-        store._dictionary = dictionary
-        store._spo = set(triples)
-        (store._by_s, store._by_p, store._by_o,
-         store._by_sp, store._by_po, store._by_so) = (
-            _rebuild_index(triples, image) for image in index_images
+        by_s, by_p, by_o, by_sp, by_po, by_so = (
+            _rebuild_index(triples, image, chunk_column)
+            for image, chunk_column in zip(index_images, _CHUNK_COLUMNS)
         )
-        store.statistics = statistics
-        return store
+        return cls._from_parts(dictionary, by_p,
+                               (by_s, by_o, by_sp, by_po, by_so),
+                               len(triples), statistics)
 
     def bulk_add_ids(self, id_triples):
         """Insert raw id 3-tuples in bulk; returns the number actually added.
 
-        The bulk path of :meth:`from_id_triples`: indexes are maintained with
-        a tightened insert loop, but **statistics are deliberately not
-        updated** — callers either install deserialized statistics or call
+        The bulk path of :meth:`from_id_triples`: indexes are maintained
+        triple by triple, but **statistics are deliberately not updated** —
+        callers either install deserialized statistics or call
         :meth:`_recompute_statistics` once afterwards.  All ids must already
         be valid for this store's dictionary.
         """
-        spo = self._spo
-        by_s, by_p, by_o = self._by_s, self._by_p, self._by_o
-        by_sp, by_po, by_so = self._by_sp, self._by_po, self._by_so
+        insert = self._insert
         added = 0
         for ids in id_triples:
-            ids = tuple(ids)
-            if ids in spo:
-                continue
-            spo.add(ids)
-            s, p, o = ids
-            for index, key in (
-                (by_s, s), (by_p, p), (by_o, o),
-                (by_sp, (s, p)), (by_po, (p, o)), (by_so, (s, o)),
-            ):
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = {ids}
-                else:
-                    bucket.add(ids)
-            added += 1
+            if insert(tuple(ids)):
+                added += 1
         if added:
             self._sorted_runs.clear()
             self.version += 1
@@ -199,16 +259,79 @@ class IndexedStore(TripleStore):
         """Rebuild :class:`StoreStatistics` from the stored id-triples."""
         statistics = StoreStatistics()
         decode = self._dictionary.decode
-        for s_id, p_id, o_id in self._spo:
+        for s_id, p_id, o_id in self.id_triples():
             statistics.observe(Triple(decode(s_id), decode(p_id), decode(o_id)))
         return statistics
 
     def _index_table(self):
-        """The six hash indexes with their key arity, in snapshot order."""
+        """The six hash indexes as ``(key arity, (key, bucket) items)``,
+        in snapshot order."""
+        def items(spine):
+            return chain.from_iterable(chunk.items() for chunk in spine)
+
         return (
-            (1, self._by_s), (1, self._by_p), (1, self._by_o),
-            (2, self._by_sp), (2, self._by_po), (2, self._by_so),
+            (1, items(self._by_s)), (1, self._by_p.items()),
+            (1, items(self._by_o)), (2, items(self._by_sp)),
+            (2, items(self._by_po)), (2, items(self._by_so)),
         )
+
+    # -- index maintenance ----------------------------------------------------
+
+    def _spines(self):
+        """The five chunked index spines, in a fixed order."""
+        return (self._by_s, self._by_o, self._by_sp, self._by_po, self._by_so)
+
+    def _spine_keys(self, s, p, o):
+        """Each chunked spine, in :meth:`_spines` order, with the chunk slot
+        and the key an id-triple has in it."""
+        by_subject, by_object = s & MASK, o & MASK
+        return ((self._by_s, by_subject, s), (self._by_o, by_object, o),
+                (self._by_sp, by_subject, (s, p)),
+                (self._by_po, by_object, (p, o)),
+                (self._by_so, by_subject, (s, o)))
+
+    def _has(self, ids):
+        """Membership of an id-triple, answered by its SP bucket."""
+        return ids in self._by_sp[ids[0] & MASK].get(ids[:2], _EMPTY)
+
+    def _insert(self, ids):
+        """Index an id-triple; False, changing nothing, when it is stored.
+
+        Unrolled rather than looped over :meth:`_spine_keys`, and the
+        membership probe reuses the SP bucket: this is the per-triple cost
+        of every bulk load.
+        """
+        s, p, o = ids
+        by_subject, by_object = s & MASK, o & MASK
+        bucket = self._by_sp[by_subject].setdefault((s, p), set())
+        if ids in bucket:
+            return False
+        bucket.add(ids)
+        self._by_p.setdefault(p, set()).add(ids)
+        self._by_s[by_subject].setdefault(s, set()).add(ids)
+        self._by_o[by_object].setdefault(o, set()).add(ids)
+        self._by_po[by_object].setdefault((p, o), set()).add(ids)
+        self._by_so[by_subject].setdefault((s, o), set()).add(ids)
+        self._size += 1
+        return True
+
+    def _delete(self, ids):
+        """Unindex a stored id-triple, dropping buckets it leaves empty.
+
+        Empty buckets are dropped so lookups of fully removed keys stay O(1).
+        """
+        s, p, o = ids
+        bucket = self._by_p[p]
+        bucket.discard(ids)
+        if not bucket:
+            del self._by_p[p]
+        for spine, slot, key in self._spine_keys(s, p, o):
+            chunk = spine[slot]
+            bucket = chunk[key]
+            bucket.discard(ids)
+            if not bucket:
+                del chunk[key]
+        self._size -= 1
 
     # -- snapshots -----------------------------------------------------------
 
@@ -228,22 +351,12 @@ class IndexedStore(TripleStore):
     # -- mutation -----------------------------------------------------------
 
     def add(self, triple):
-        ids = (
-            self._dictionary.encode(triple.subject),
-            self._dictionary.encode(triple.predicate),
-            self._dictionary.encode(triple.object),
-        )
-        if ids in self._spo:
+        encode = self._dictionary.encode
+        ids = (encode(triple.subject), encode(triple.predicate),
+               encode(triple.object))
+        if not self._insert(ids):
             return False
-        self._spo.add(ids)
-        s, p, o = ids
-        self._by_s.setdefault(s, set()).add(ids)
-        self._by_p.setdefault(p, set()).add(ids)
-        self._by_o.setdefault(o, set()).add(ids)
-        self._by_sp.setdefault((s, p), set()).add(ids)
-        self._by_po.setdefault((p, o), set()).add(ids)
-        self._by_so.setdefault((s, o), set()).add(ids)
-        self._invalidate_sorted_runs(p)
+        self._invalidate_sorted_runs(ids[1])
         self.statistics.observe(triple)
         self.version += 1
         return True
@@ -251,30 +364,16 @@ class IndexedStore(TripleStore):
     def remove(self, triple):
         """Remove a triple if present; returns True when removed.
 
-        All six indexes and the store statistics are maintained; empty index
-        buckets are dropped so lookups of fully removed keys stay O(1).
-        Dictionary entries are intentionally kept — ids are stable for the
-        lifetime of the store, which is what lets id-space evaluation cache
-        decoded terms safely.
+        All six indexes and the store statistics are maintained.  Dictionary
+        entries are intentionally kept — ids are stable for the lifetime of
+        the store, which is what lets id-space evaluation cache decoded
+        terms safely.
         """
         encoded = self.encode_pattern(triple.subject, triple.predicate, triple.object)
-        if encoded is None or encoded not in self._spo:
+        if encoded is None or not self._has(encoded):
             return False
-        self._spo.discard(encoded)
-        s, p, o = encoded
-        for index, key in (
-            (self._by_s, s),
-            (self._by_p, p),
-            (self._by_o, o),
-            (self._by_sp, (s, p)),
-            (self._by_po, (p, o)),
-            (self._by_so, (s, o)),
-        ):
-            bucket = index[key]
-            bucket.discard(encoded)
-            if not bucket:
-                del index[key]
-        self._invalidate_sorted_runs(p)
+        self._delete(encoded)
+        self._invalidate_sorted_runs(encoded[1])
         self.statistics.forget(triple)
         self.version += 1
         return True
@@ -284,10 +383,10 @@ class IndexedStore(TripleStore):
 
         Returns a :class:`GenerationDraft` sharing this store's term
         dictionary (append-only, so ids stay valid across generations), its
-        untouched index buckets, and its sorted runs; the draft copies a
-        bucket only when a mutation first touches it.  This store is never
-        modified through the draft — readers holding it keep an immutable
-        view while the writer assembles the next generation.
+        untouched index chunks and buckets, its statistics and its sorted
+        runs.  This store is never modified through the draft — readers
+        holding it keep an immutable view while the writer assembles the
+        next generation.
         """
         return GenerationDraft(self)
 
@@ -316,9 +415,10 @@ class IndexedStore(TripleStore):
 
         The bulk counterpart of :meth:`triples_ids` used by snapshot and
         copy/bulk-load paths: ``IndexedStore.from_id_triples(other.dictionary,
-        other.id_triples())`` clones a store without touching terms.
+        other.id_triples())`` clones a store without touching terms.  The
+        triples come predicate by predicate, chained from the P index.
         """
-        return iter(self._spo)
+        return chain.from_iterable(self._by_p.values())
 
     def triples_ids(self, subject=None, predicate=None, object=None):
         """Yield raw id 3-tuples matching an already-encoded pattern.
@@ -333,22 +433,27 @@ class IndexedStore(TripleStore):
         return len(self._candidates(subject, predicate, object))
 
     def _candidates(self, s, p, o):
-        """Return the candidate id-triple set for an encoded pattern."""
-        if s is not None and p is not None and o is not None:
-            return {(s, p, o)} if (s, p, o) in self._spo else _EMPTY
+        """Return the candidate id-triple set for an encoded pattern.
+
+        A probe of a chunked spine first picks the key's chunk by its
+        subject or object id (see ``_CHUNK_COLUMNS``).
+        """
         if s is not None and p is not None:
-            return self._by_sp.get((s, p), _EMPTY)
+            bucket = self._by_sp[s & MASK].get((s, p), _EMPTY)
+            if o is None:
+                return bucket
+            return {(s, p, o)} if (s, p, o) in bucket else _EMPTY
         if p is not None and o is not None:
-            return self._by_po.get((p, o), _EMPTY)
+            return self._by_po[o & MASK].get((p, o), _EMPTY)
         if s is not None and o is not None:
-            return self._by_so.get((s, o), _EMPTY)
+            return self._by_so[s & MASK].get((s, o), _EMPTY)
         if s is not None:
-            return self._by_s.get(s, _EMPTY)
+            return self._by_s[s & MASK].get(s, _EMPTY)
         if p is not None:
             return self._by_p.get(p, _EMPTY)
         if o is not None:
-            return self._by_o.get(o, _EMPTY)
-        return self._spo
+            return self._by_o[o & MASK].get(o, _EMPTY)
+        return _Scan(self._by_p.values(), self._size)
 
     # -- sorted runs ---------------------------------------------------------
 
@@ -404,9 +509,7 @@ class IndexedStore(TripleStore):
 
     def contains(self, triple):
         encoded = self.encode_pattern(triple.subject, triple.predicate, triple.object)
-        if encoded is None:
-            return False
-        return encoded in self._spo
+        return encoded is not None and self._has(encoded)
 
     def count(self, subject=None, predicate=None, object=None):
         encoded = self.encode_pattern(subject, predicate, object)
@@ -430,7 +533,7 @@ class IndexedStore(TripleStore):
         return self.statistics.triple_count
 
     def __len__(self):
-        return len(self._spo)
+        return self._size
 
     @property
     def dictionary(self):
@@ -449,48 +552,73 @@ class GenerationDraft:
     structural-sharing copy of the base generation:
 
     * the term dictionary is *shared* (append-only; ids are stable forever),
-    * the id-triple set is copied (O(n), the per-transaction floor),
-    * the six hash indexes copy their **dict spines** but share every bucket
-      set with the base; a bucket is copied exactly once, the first time a
-      mutation touches it (``_owned`` tracks copied keys per index),
+    * each chunked index spine copies its list of :data:`FANOUT` chunk
+      references and the P index copies its small dict spine; everything
+      below is shared with the base.  A chunk is copied on the draft's first
+      write to it and a bucket on the first write to its key (``_own``);
+      ownership is tracked per draft,
+    * statistics start as a shallow copy that copies one predicate's
+      counters on the first write to that predicate
+      (:meth:`StoreStatistics.copy`),
     * sorted runs are shared and only the runs of *touched predicates* are
       dropped at :meth:`finish` — untouched predicates keep their (immutable)
-      runs across generations with zero rebuild cost,
-    * statistics are deep-copied once and maintained incrementally.
+      runs across generations with zero rebuild cost.
+
+    A write therefore costs O(fan-out + touched chunks + touched buckets),
+    whatever the store's size.  Three costs still grow with a touched
+    predicate's size: copying its P bucket, copying its statistics counters,
+    and the lazy rebuild of its sorted runs in the new generation.
 
     The base store is never mutated: concurrent readers pinned to it see a
     frozen, consistent state for as long as they hold the reference.
     """
 
     def __init__(self, base):
-        store = IndexedStore()
-        store._dictionary = base._dictionary
-        store._spo = set(base._spo)
-        store._by_s = base._by_s.copy()
-        store._by_p = base._by_p.copy()
-        store._by_o = base._by_o.copy()
-        store._by_sp = base._by_sp.copy()
-        store._by_po = base._by_po.copy()
-        store._by_so = base._by_so.copy()
+        store = IndexedStore._from_parts(
+            base._dictionary, base._by_p.copy(),
+            [list(spine) for spine in base._spines()], base._size,
+            base.statistics.copy(),
+        )
         # dict.copy() is a single C-level call, so it is atomic with respect
         # to readers lazily inserting sorted runs into the base generation.
         store._sorted_runs = base._sorted_runs.copy()
-        store.statistics = base.statistics.copy()
         store.version = base.version
         self.store = store
-        #: Keys whose bucket has been copied, aligned with _index_table order.
-        self._owned = tuple(set() for _ in range(6))
+        #: Predicates written so far; their P buckets are the draft's own.
         self._touched_predicates = set()
+        #: Per spine, in ``_spine_keys`` order: chunk slots copied so far ...
+        self._owned_chunks = tuple(set() for _ in range(5))
+        #: ... and keys whose bucket is the draft's own (or was absent).
+        self._owned_keys = tuple(set() for _ in range(5))
         self.inserted = 0
         self.deleted = 0
 
-    def _index_entries(self, s, p, o):
+    def _own(self, ids):
+        """Give the draft private copies of the chunks and buckets of ``ids``.
+
+        Afterwards the store's plain ``_insert``/``_delete`` may change them
+        in place.  A key that has no bucket yet counts as owned: a bucket
+        created there later is created by this draft.
+        """
         store = self.store
-        return (
-            (store._by_s, s), (store._by_p, p), (store._by_o, o),
-            (store._by_sp, (s, p)), (store._by_po, (p, o)),
-            (store._by_so, (s, o)),
-        )
+        s, p, o = ids
+        if p not in self._touched_predicates:
+            bucket = store._by_p.get(p)
+            if bucket is not None:
+                store._by_p[p] = set(bucket)
+            self._touched_predicates.add(p)
+        for (spine, slot, key), owned_chunks, owned_keys in zip(
+            store._spine_keys(s, p, o), self._owned_chunks, self._owned_keys
+        ):
+            if slot not in owned_chunks:
+                spine[slot] = spine[slot].copy()
+                owned_chunks.add(slot)
+            if key not in owned_keys:
+                chunk = spine[slot]
+                bucket = chunk.get(key)
+                if bucket is not None:
+                    chunk[key] = set(bucket)
+                owned_keys.add(key)
 
     def add(self, triple):
         """Insert one ground triple into the draft; True when it was new."""
@@ -498,24 +626,11 @@ class GenerationDraft:
         encode = store._dictionary.encode
         ids = (encode(triple.subject), encode(triple.predicate),
                encode(triple.object))
-        if ids in store._spo:
+        if store._has(ids):
             return False
-        store._spo.add(ids)
-        s, p, o = ids
-        for owned, (index, key) in zip(self._owned, self._index_entries(s, p, o)):
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = {ids}
-                owned.add(key)
-            elif key in owned:
-                bucket.add(ids)
-            else:
-                copied = set(bucket)
-                copied.add(ids)
-                index[key] = copied
-                owned.add(key)
+        self._own(ids)
+        store._insert(ids)
         store.statistics.observe(triple)
-        self._touched_predicates.add(p)
         self.inserted += 1
         return True
 
@@ -524,22 +639,11 @@ class GenerationDraft:
         store = self.store
         encoded = store.encode_pattern(triple.subject, triple.predicate,
                                        triple.object)
-        if encoded is None or encoded not in store._spo:
+        if encoded is None or not store._has(encoded):
             return False
-        store._spo.discard(encoded)
-        s, p, o = encoded
-        for owned, (index, key) in zip(self._owned, self._index_entries(s, p, o)):
-            bucket = index[key]
-            if key not in owned:
-                bucket = set(bucket)
-                index[key] = bucket
-                owned.add(key)
-            bucket.discard(encoded)
-            if not bucket:
-                del index[key]
-                owned.discard(key)
+        self._own(encoded)
+        store._delete(encoded)
         store.statistics.forget(triple)
-        self._touched_predicates.add(p)
         self.deleted += 1
         return True
 

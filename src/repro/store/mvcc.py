@@ -7,12 +7,21 @@ attribute read and keep scanning it unperturbed; a single serialized writer
 builds the next generation as a copy-on-write draft (``begin_generation`` on
 the underlying store) and publishes it atomically by swapping one reference.
 
+What a write costs depends on the store family's draft.  An
+``IndexedStore`` draft copies only what the write touches — the lists of
+index chunks, then each touched chunk, bucket and predicate's statistics
+counters — so a small write costs O(fan-out + touched chunks + touched
+buckets) whatever the store's size (see ``indexed_store.GenerationDraft``
+for the costs that still grow with a touched predicate).  A ``MemoryStore``
+draft copies its whole triple dict: O(n) per write, as befits a scan store.
+
 Invariants:
 
 * A published generation is never mutated again.  Readers holding it see a
-  frozen, consistent state for as long as they keep the reference.  (The one
-  deliberate exception is lazy sorted-run materialization inside
-  ``IndexedStore`` — a cache fill, not a logical mutation.)
+  frozen, consistent state for as long as they keep the reference.  (The
+  deliberate exceptions are bookkeeping, not logical mutations: lazy
+  sorted-run materialization inside ``IndexedStore``, a cache fill, and
+  ``StoreStatistics.copy`` marking the base's counters as shared.)
 * Publishing bumps ``version`` monotonically; the engine's prepared-statement
   cache and planner statistics key off it to invalidate stale plans.
 * ``write_transaction`` holds the writer lock across WHERE evaluation *and*

@@ -314,12 +314,12 @@ def _append_string(out, text):
 def _pack_indexed(store):
     out = []
     _pack_dictionary(out, store.dictionary)
-    triples = list(store._spo)
+    triples = list(store.id_triples())
     out.append(_U32.pack(len(triples)))
     out.append(_u32_array(component for triple in triples for component in triple))
     positions = {triple: index for index, triple in enumerate(triples)}
-    for arity, index in store._index_table():
-        _pack_index_image(out, arity, index, positions)
+    for arity, items in store._index_table():
+        _pack_index_image(out, arity, items, positions)
     _pack_statistics(out, store.statistics, store.dictionary)
     _pack_sorted_runs(out, store)
     return b"".join(out)
@@ -493,14 +493,15 @@ def _unpack_dictionary(reader):
     return terms
 
 
-def _pack_index_image(out, arity, index, positions):
-    """Serialize one hash index as grouped singleton/multi bucket images."""
+def _pack_index_image(out, arity, items, positions):
+    """Serialize one hash index (its ``(key, bucket)`` items) as grouped
+    singleton/multi bucket images."""
     single_keys = []
     single_members = []
     multi_keys = []
     multi_counts = []
     multi_members = []
-    for key, bucket in index.items():
+    for key, bucket in items:
         if len(bucket) == 1:
             single_keys.append(key)
             single_members.append(positions[next(iter(bucket))])
@@ -528,28 +529,23 @@ def _pack_index_image(out, arity, index, positions):
 
 
 def _unpack_index_image(reader):
-    """Read one index image; key iterables stay lazy for the bulk rebuild."""
+    """Read one index image for the bulk rebuild.
+
+    Keys come back as columns: a tuple of one id array (arity 1) or of the
+    first and second components' arrays (arity 2).
+    """
     arity = reader.u8()
     if arity not in (1, 2):
         raise SnapshotFormatError(f"index image with key arity {arity}")
     n_single = reader.u32()
-    if arity == 1:
-        single_keys = reader.u32_array(n_single)
-    else:
-        first = reader.u32_array(n_single)
-        second = reader.u32_array(n_single)
-        single_keys = zip(first, second)
+    single_columns = tuple(reader.u32_array(n_single) for _ in range(arity))
     single_members = reader.u32_array(n_single)
     n_multi = reader.u32()
-    if arity == 1:
-        multi_keys = reader.u32_array(n_multi)
-    else:
-        first = reader.u32_array(n_multi)
-        second = reader.u32_array(n_multi)
-        multi_keys = zip(first, second)
+    multi_columns = tuple(reader.u32_array(n_multi) for _ in range(arity))
     multi_counts = reader.u32_array(n_multi)
     multi_members = reader.u32_array(reader.u32())
-    return single_keys, single_members, multi_keys, multi_counts, multi_members
+    return (single_columns, single_members, multi_columns, multi_counts,
+            multi_members)
 
 
 def _pack_statistics(out, statistics, dictionary):

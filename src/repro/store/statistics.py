@@ -23,7 +23,9 @@ class StoreStatistics:
 
     The distinct-subject/object structures are reference-counted (term ->
     occurrence count) rather than plain sets so that :meth:`forget` can
-    maintain them exactly when triples are removed.
+    maintain them exactly when triples are removed.  Those per-predicate
+    counters may be shared with a :meth:`copy`; ``_shared`` names the
+    predicates whose counters must be copied before they change.
     """
 
     def __init__(self):
@@ -32,11 +34,22 @@ class StoreStatistics:
         self._predicate_subjects = {}
         self._predicate_objects = {}
         self.class_counts = {}
+        self._shared = set()
+
+    def _unshare(self, predicate):
+        """Take private copies of one predicate's distinct-term counters."""
+        for table in (self._predicate_subjects, self._predicate_objects):
+            counts = table.get(predicate)
+            if counts is not None:
+                table[predicate] = dict(counts)
+        self._shared.discard(predicate)
 
     def observe(self, triple):
         """Record one added triple."""
         self.triple_count += 1
         predicate = triple.predicate
+        if self._shared and predicate in self._shared:
+            self._unshare(predicate)
         self.predicate_counts[predicate] = self.predicate_counts.get(predicate, 0) + 1
         subjects = self._predicate_subjects.setdefault(predicate, {})
         subjects[triple.subject] = subjects.get(triple.subject, 0) + 1
@@ -49,6 +62,8 @@ class StoreStatistics:
         """Record one removed triple (exact inverse of :meth:`observe`)."""
         self.triple_count -= 1
         predicate = triple.predicate
+        if self._shared and predicate in self._shared:
+            self._unshare(predicate)
         _decrement(self.predicate_counts, predicate)
         subjects = self._predicate_subjects.get(predicate)
         if subjects is not None:
@@ -64,25 +79,30 @@ class StoreStatistics:
             _decrement(self.class_counts, triple.object)
 
     def copy(self):
-        """An independent deep copy (MVCC generation builds start from one).
+        """An independent copy that shares each predicate's counters until
+        one side changes them (MVCC generation builds start from one).
 
-        The copy shares no mutable structure with the original, so a writer
-        can :meth:`observe`/:meth:`forget` incrementally on the next
-        generation's statistics while readers keep planning against the
-        published generation's counts.
+        The copy costs O(predicates + classes): the per-predicate
+        distinct-subject/object counters — the bulk of the statistics — are
+        shared, and whichever side first records an added or removed triple
+        of a predicate (:meth:`observe`, :meth:`forget`) copies that
+        predicate's counters alone.  A writer can therefore maintain the next
+        generation's statistics incrementally while readers keep planning
+        against the published generation's counts, and pays only for the
+        predicates it touches.
         """
+        shared = set(self._predicate_subjects)
+        shared.update(self._predicate_objects)
+        # Both sides now hold the same counter dicts; each copies before
+        # writing.  Only this bookkeeping set changes on the original.
+        self._shared = shared
         clone = StoreStatistics()
         clone.triple_count = self.triple_count
         clone.predicate_counts = dict(self.predicate_counts)
-        clone._predicate_subjects = {
-            predicate: dict(counts)
-            for predicate, counts in self._predicate_subjects.items()
-        }
-        clone._predicate_objects = {
-            predicate: dict(counts)
-            for predicate, counts in self._predicate_objects.items()
-        }
+        clone._predicate_subjects = dict(self._predicate_subjects)
+        clone._predicate_objects = dict(self._predicate_objects)
         clone.class_counts = dict(self.class_counts)
+        clone._shared = set(shared)
         return clone
 
     # -- accessors ---------------------------------------------------------

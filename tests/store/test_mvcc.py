@@ -7,16 +7,21 @@ What multi-version concurrency control must guarantee here:
 * a write transaction publishes atomically (all changes or none visible),
 * a no-op transaction publishes nothing (no version bump),
 * a draft's copy-on-write structures stay consistent with a from-scratch
-  store holding the same triples (statistics, indexes, sorted runs).
+  store holding the same triples (statistics, indexes, sorted runs),
+* a writer failing mid-draft publishes nothing and leaves the base intact,
+* a one-triple write shares all but a bounded number of index chunks and
+  statistics counters with its base (no O(n) copy per write).
 """
 
+import copy
 import threading
 
 import pytest
 
+from repro import generate_graph
 from repro.rdf import Literal, Triple, URIRef
 from repro.store import IndexedStore, MemoryStore, MvccStore, read_snapshot
-from repro.store.indexed_store import RUN_BY_SUBJECT
+from repro.store.indexed_store import FANOUT, RUN_BY_OBJECT, RUN_BY_SUBJECT
 
 P = URIRef("http://example.org/p")
 Q = URIRef("http://example.org/q")
@@ -129,12 +134,12 @@ class TestDraftConsistency:
         base.bulk_load([triple(n) for n in range(10)])
         store = MvccStore(base)
         pinned = store.snapshot()
-        spo_before = set(pinned._spo)
+        ids_before = set(pinned.id_triples())
         with store.write_transaction() as txn:
             for n in range(10):
                 txn.remove(triple(n))
             txn.insert(triple(100))
-        assert set(pinned._spo) == spo_before
+        assert set(pinned.id_triples()) == ids_before
         assert pinned.count(None, P, None) == 10
 
     def test_sorted_runs_shared_until_touched(self):
@@ -155,6 +160,142 @@ class TestDraftConsistency:
         rebuilt = current.sorted_run(q_id, RUN_BY_SUBJECT)
         assert rebuilt is not run_q
         assert len(rebuilt.keys) == len(run_q.keys) + 1
+
+
+class InjectedFault(Exception):
+    """Raised by a test writer in the middle of its draft."""
+
+
+class TestWriterFailure:
+    @pytest.mark.parametrize("family", [MemoryStore, IndexedStore])
+    def test_writer_failing_mid_draft_publishes_nothing(self, family):
+        base = family()
+        base.bulk_load([triple(n) for n in range(40)] +
+                       [triple(n, predicate=Q) for n in range(40)])
+        store = MvccStore(base)
+        pinned = store.snapshot()
+        version = store.version
+        triples_before = set(pinned.triples())
+        statistics = getattr(pinned, "statistics", None)
+        statistics_before = copy.deepcopy(statistics)
+        runs_before = {}
+        if isinstance(pinned, IndexedStore):
+            for predicate in (P, Q):
+                predicate_id = pinned.dictionary.lookup(predicate)
+                for order in (RUN_BY_SUBJECT, RUN_BY_OBJECT):
+                    run = pinned.sorted_run(predicate_id, order)
+                    runs_before[predicate_id, order] = (
+                        run, list(run.keys), list(run.values))
+
+        with pytest.raises(InjectedFault):
+            with store.write_transaction() as txn:
+                # Removes and inserts over existing subjects, predicates and
+                # objects: every shared chunk and bucket they live in is
+                # copied (or mutated, if the draft were wrong) before the
+                # fault.
+                for n in range(0, 40, 3):
+                    assert txn.remove(triple(n))
+                    assert txn.remove(triple(n, predicate=Q))
+                for n in range(1, 40, 3):
+                    assert txn.insert(Triple(triple(n).subject, Q,
+                                             Literal(n + 1)))
+                assert txn.insert(triple(500))
+                raise InjectedFault("writer fails mid-draft")
+
+        assert store.snapshot() is pinned
+        assert store.version == version
+        assert set(pinned.triples()) == triples_before
+        assert len(pinned) == len(triples_before)
+        for fact in triples_before:
+            assert pinned.contains(fact)
+            assert pinned.count(fact.subject, None, None) == sum(
+                1 for other in triples_before if other.subject == fact.subject)
+        assert pinned.count(None, P, None) == 40
+        assert pinned.count(None, Q, None) == 40
+        assert statistics == statistics_before
+        for (predicate_id, order), (run, keys, values) in runs_before.items():
+            assert pinned.sorted_run(predicate_id, order) is run
+            assert (list(run.keys), list(run.values)) == (keys, values)
+
+        # The writer lock was released and the next transaction commits.
+        with store.write_transaction() as txn:
+            assert txn.insert(triple(600))
+            assert txn.remove(triple(0))
+        assert store.version == version + 1
+        current = store.snapshot()
+        expected = (triples_before - {triple(0)}) | {triple(600)}
+        assert set(current.triples()) == expected
+        assert set(pinned.triples()) == triples_before
+        if statistics is not None:
+            scratch = IndexedStore()
+            scratch.bulk_load(expected)
+            assert current.statistics == scratch.statistics
+
+
+class TestStructuralSharing:
+    """A write copies what it touches and shares everything else (``is``)."""
+
+    SPINES = ("_by_s", "_by_o", "_by_sp", "_by_po", "_by_so")
+
+    @pytest.fixture(scope="class")
+    def document(self):
+        return list(generate_graph(triple_limit=5_000))
+
+    def test_one_triple_write_shares_all_but_touched_chunks(self, document):
+        base = IndexedStore()
+        base.bulk_load(document)
+        assert len(base) >= 4_900
+        store = MvccStore(base)
+        touched = document[len(document) // 2]
+        with store.write_transaction() as txn:
+            assert txn.insert(Triple(touched.subject, touched.predicate,
+                                     Literal("a fresh object")))
+        current = store.snapshot()
+        assert current is not base
+        for name in self.SPINES:
+            base_spine, spine = getattr(base, name), getattr(current, name)
+            assert len(spine) == len(base_spine) == FANOUT
+            unshared = sum(1 for old, new in zip(base_spine, spine)
+                           if old is not new)
+            # One triple lives in exactly one chunk of each spine.
+            assert unshared <= 1, (name, unshared)
+        predicate_id = current.dictionary.lookup(touched.predicate)
+        for key, bucket in base._by_p.items():
+            if key != predicate_id:
+                assert current._by_p[key] is bucket
+        assert current._by_p[predicate_id] is not base._by_p[predicate_id]
+
+    def test_statistics_share_untouched_predicates(self, document):
+        base = IndexedStore()
+        base.bulk_load(document)
+        before = copy.deepcopy(base.statistics)
+        store = MvccStore(base)
+        touched = document[0]
+        with store.write_transaction() as txn:
+            assert txn.remove(touched)
+        mine, theirs = store.snapshot().statistics, base.statistics
+        assert theirs == before
+        for table in ("_predicate_subjects", "_predicate_objects"):
+            old, new = getattr(theirs, table), getattr(mine, table)
+            for predicate, counts in old.items():
+                if predicate == touched.predicate:
+                    assert new.get(predicate) is not counts
+                else:
+                    assert new[predicate] is counts
+        assert mine.predicate_count(touched.predicate) == \
+            theirs.predicate_count(touched.predicate) - 1
+
+    def test_statistics_copy_is_independent_both_ways(self):
+        original = IndexedStore()
+        original.bulk_load([triple(n) for n in range(5)])
+        statistics = original.statistics
+        clone = statistics.copy()
+        statistics.observe(triple(10))
+        clone.forget(triple(0))
+        assert statistics.predicate_count(P) == 6
+        assert statistics.distinct_subjects(P) == 6
+        assert clone.predicate_count(P) == 4
+        assert clone.distinct_subjects(P) == 4
 
 
 class TestConcurrency:
